@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-check report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec clean
+.PHONY: all build test test-race bench bench-json bench-check report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec fuzz-wal clean
 
 all: build test
 
@@ -406,6 +406,12 @@ fuzz:
 # spelling-invariant (this is the CI smoke; raise -fuzztime locally).
 fuzz-spec:
 	$(GO) test -fuzz=FuzzCanonicalize -fuzztime=20s -run '^$$' ./internal/service/
+
+# Short WAL replay fuzz: arbitrary segment bytes never panic, only
+# checksummed lines apply, and a tombstoned key never comes back (the CI
+# smoke; raise -fuzztime locally).
+fuzz-wal:
+	$(GO) test -fuzz=FuzzWALReplay -fuzztime=20s -run '^$$' ./internal/wal/
 
 clean:
 	$(GO) clean ./...

@@ -12,27 +12,20 @@
 // loop remains the backstop — which is why the log can shed oldest
 // hints under a byte cap rather than refuse writes.
 //
-// The on-disk format mirrors internal/queue's journal: checksummed
-// record lines in sequence-numbered segments, torn-tail-tolerant
-// replay, compact-on-open, and degrade-to-memory-only on any write
-// error. Line format:
-//
-//	coordd-hints/v1 <sha256-hex over the JSON> <compact JSON record>\n
+// The log is an internal/wal log keyed by (peer, key), with
+// "coordd-hints/v1" as its line version: checksummed record lines in
+// sequence-numbered segments, torn-line-tolerant replay,
+// compact-on-open, and degrade-to-memory-only on any write error.
 package hints
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 // logVersion prefixes every record line. Unrecognized versions are
@@ -70,9 +63,6 @@ type Options struct {
 	// and counted in Stats.Dropped) until the new hint fits. <= 0 means
 	// unlimited.
 	MaxBytes int64
-	// CompactEvery rewrites the log once this many tombstones have
-	// accumulated since the last compaction. 0 means 1024.
-	CompactEvery int
 }
 
 // Stats is a point-in-time snapshot for /metrics and the admin surface.
@@ -96,184 +86,49 @@ type Stats struct {
 	Degraded bool `json:"degraded"`
 }
 
-// hint is one pending entry with its byte-accounting weight.
-type hint struct {
-	peer, key string
-	at        int64
-	size      int64 // encoded add-line length, the MaxBytes unit
+// pair is a hint's identity in the log.
+type pair struct{ peer, key string }
+
+// hintsCodec is the hint log's WAL dialect: records keyed by (peer,
+// key), done records the tombstones.
+var hintsCodec = wal.Codec[pair, Record]{
+	Version:   logVersion,
+	Name:      "hints: log",
+	Key:       func(r *Record) pair { return pair{r.Peer, r.Key} },
+	Tombstone: func(r *Record) bool { return r.Op == OpDone },
+	Validate: func(r *Record) error {
+		if r.Peer == "" || r.Key == "" || (r.Op != OpAdd && r.Op != OpDone) {
+			return fmt.Errorf("invalid record op %q", r.Op)
+		}
+		return nil
+	},
 }
 
 // Log is the hinted-handoff queue. Safe for concurrent use; every
 // append is fsynced before it returns. A Log opened with an empty dir
 // is memory-only: same API, no durability.
 type Log struct {
-	dir  string // "" = memory-only
-	fs   store.FS
-	logf func(format string, args ...any)
+	maxBytes int64
+	logf     func(format string, args ...any)
 
-	mu           sync.Mutex
-	active       store.File
-	seq          uint64
-	pending      map[string]map[string]*hint // peer → key → hint
-	order        []*hint                     // global queue order, oldest first
-	bytes        int64                       // encoded size of the pending set
-	maxBytes     int64
-	doneSince    int
-	compactEvery int
-	degraded     bool
+	mu      sync.Mutex
+	log     *wal.Log[pair, Record] // live set = pending add records, oldest first
+	perPeer map[string]int         // peer → pending hint count
 
-	adds, delivered, dropped, truncated int64
-	replayed                            int
+	adds, delivered, dropped int64
 }
 
 // Open opens (or creates) the hint log at dir, replays its segments,
 // and compacts them into a fresh one. An empty dir yields a memory-only
 // log that never touches the filesystem.
 func Open(dir string, opts Options) (*Log, error) {
-	fs := opts.FS
-	if fs == nil {
-		fs = store.DiskFS()
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 1024
-	}
-	l := &Log{
-		dir:          dir,
-		fs:           fs,
-		logf:         opts.Logf,
-		pending:      make(map[string]map[string]*hint),
-		maxBytes:     opts.MaxBytes,
-		compactEvery: opts.CompactEvery,
-	}
-	if dir == "" {
-		return l, nil
-	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	log, err := wal.Open(dir, opts.FS, opts.Logf, hintsCodec)
+	if err != nil {
 		return nil, fmt.Errorf("hints: %w", err)
 	}
-	segs, err := l.scan()
-	if err != nil {
-		return nil, err
-	}
-	l.replayed = len(l.order)
-	l.mu.Lock()
-	if err := l.compactLocked(); err == nil {
-		for _, s := range segs {
-			_ = l.fs.Remove(filepath.Join(dir, s))
-		}
-	}
-	l.mu.Unlock()
+	l := &Log{maxBytes: opts.MaxBytes, logf: opts.Logf, log: log, perPeer: make(map[string]int)}
+	log.Each(func(r *Record) { l.perPeer[r.Peer]++ })
 	return l, nil
-}
-
-// scan replays every segment in order, building the pending set, and
-// returns the segment filenames it consumed. Stray temp files from a
-// crash mid-compaction are swept.
-func (l *Log) scan() ([]string, error) {
-	entries, err := l.fs.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("hints: %w", err)
-	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, "tmp-") {
-			_ = l.fs.Remove(filepath.Join(l.dir, name))
-			continue
-		}
-		if seq, ok := segmentSeq(name); ok {
-			segs = append(segs, name)
-			if seq > l.seq {
-				l.seq = seq
-			}
-		}
-	}
-	sort.Slice(segs, func(a, b int) bool {
-		sa, _ := segmentSeq(segs[a])
-		sb, _ := segmentSeq(segs[b])
-		return sa < sb
-	})
-	for _, name := range segs {
-		data, err := l.fs.ReadFile(filepath.Join(l.dir, name))
-		if err != nil {
-			continue
-		}
-		l.applySegment(name, data)
-	}
-	return segs, nil
-}
-
-// applySegment replays one segment's lines. Undecodable lines — the
-// torn tail of a crash mid-append, or a chaos-injected short write —
-// are counted and skipped; every line that checksums is applied.
-func (l *Log) applySegment(name string, data []byte) {
-	for len(data) > 0 {
-		line := data
-		if nl := indexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			data = nil // trailing partial line
-		}
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeLine(line)
-		if err != nil {
-			l.truncated++
-			if l.logf != nil {
-				l.logf("hints: log %s: dropped undecodable record: %v", name, err)
-			}
-			continue
-		}
-		switch rec.Op {
-		case OpAdd:
-			l.insertLocked(rec.Peer, rec.Key, rec.At)
-		case OpDone:
-			l.removeLocked(rec.Peer, rec.Key)
-		}
-	}
-}
-
-// insertLocked adds (peer, key) to the pending set if absent. Returns
-// the hint and whether it was freshly inserted.
-func (l *Log) insertLocked(peer, key string, at int64) (*hint, bool) {
-	byKey := l.pending[peer]
-	if byKey == nil {
-		byKey = make(map[string]*hint)
-		l.pending[peer] = byKey
-	}
-	if h, ok := byKey[key]; ok {
-		return h, false
-	}
-	h := &hint{peer: peer, key: key, at: at, size: addLineSize(peer, key, at)}
-	byKey[key] = h
-	l.order = append(l.order, h)
-	l.bytes += h.size
-	return h, true
-}
-
-// removeLocked drops (peer, key) from the pending set if present.
-func (l *Log) removeLocked(peer, key string) bool {
-	byKey := l.pending[peer]
-	h, ok := byKey[key]
-	if !ok {
-		return false
-	}
-	delete(byKey, key)
-	if len(byKey) == 0 {
-		delete(l.pending, peer)
-	}
-	for i, o := range l.order {
-		if o == h {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-	l.bytes -= h.size
-	return true
 }
 
 // Add queues one hint: peer is owed key's body. Re-adding an already
@@ -285,27 +140,22 @@ func (l *Log) Add(peer, key string) error {
 	now := time.Now().UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	h, fresh := l.insertLocked(peer, key, now)
-	if !fresh {
+	if _, ok := l.log.Get(pair{peer, key}); ok {
 		return nil
 	}
 	l.adds++
-	err := l.appendLocked(&Record{Op: OpAdd, Peer: peer, Key: key, At: h.at})
+	l.perPeer[peer]++
+	err := l.log.Append(&Record{Op: OpAdd, Peer: peer, Key: key, At: now})
 	// Shed oldest-first past the cap. Shedding appends tombstones (so a
-	// replayed log agrees), but never sheds the hint just added: losing
-	// the newest to make room for the oldest would invert the queue.
-	for l.maxBytes > 0 && l.bytes > l.maxBytes && len(l.order) > 1 {
-		oldest := l.order[0]
-		if oldest == h {
-			break
-		}
-		l.removeLocked(oldest.peer, oldest.key)
+	// replayed log agrees), but never sheds the hint just added: it is
+	// the newest, so while another hint is pending the oldest is not it.
+	for l.maxBytes > 0 && l.log.Bytes() > l.maxBytes && l.log.Len() > 1 {
+		oldest, _ := l.log.Oldest()
 		l.dropped++
 		if l.logf != nil {
-			l.logf("hints: shed oldest hint (%s ← %.8s) over the %d-byte cap", oldest.peer, oldest.key, l.maxBytes)
+			l.logf("hints: shed oldest hint (%s ← %.8s) over the %d-byte cap", oldest.Peer, oldest.Key, l.maxBytes)
 		}
-		_ = l.appendLocked(&Record{Op: OpDone, Peer: oldest.peer, Key: oldest.key})
-		l.noteDoneLocked()
+		_ = l.doneLocked(oldest.Peer, oldest.Key)
 	}
 	return err
 }
@@ -316,42 +166,36 @@ func (l *Log) Add(peer, key string) error {
 func (l *Log) Delivered(peer, key string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.removeLocked(peer, key) {
+	if _, ok := l.log.Get(pair{peer, key}); !ok {
 		return nil
 	}
 	l.delivered++
-	err := l.appendLocked(&Record{Op: OpDone, Peer: peer, Key: key})
-	l.noteDoneLocked()
-	return err
+	return l.doneLocked(peer, key)
 }
 
-// noteDoneLocked triggers a live compaction once a segment's worth of
-// tombstones has accumulated, bounding the log by its backlog.
-func (l *Log) noteDoneLocked() {
-	l.doneSince++
-	if l.doneSince < l.compactEvery {
-		return
+// doneLocked tombstones one pending hint.
+func (l *Log) doneLocked(peer, key string) error {
+	l.perPeer[peer]--
+	if l.perPeer[peer] == 0 {
+		delete(l.perPeer, peer)
 	}
-	old := l.activeSegmentPath()
-	if err := l.compactLocked(); err == nil && old != "" {
-		_ = l.fs.Remove(old)
-	}
+	return l.log.Append(&Record{Op: OpDone, Peer: peer, Key: key})
 }
 
 // Pending returns peer's queued keys, oldest first.
 func (l *Log) Pending(peer string) []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	byKey := l.pending[peer]
-	if len(byKey) == 0 {
+	n := l.perPeer[peer]
+	if n == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(byKey))
-	for _, h := range l.order {
-		if h.peer == peer {
-			out = append(out, h.key)
+	out := make([]string, 0, n)
+	l.log.Each(func(r *Record) {
+		if r.Peer == peer {
+			out = append(out, r.Key)
 		}
-	}
+	})
 	return out
 }
 
@@ -359,15 +203,15 @@ func (l *Log) Pending(peer string) []string {
 func (l *Log) PendingFor(peer string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.pending[peer])
+	return l.perPeer[peer]
 }
 
 // Peers returns the peers with pending hints, sorted.
 func (l *Log) Peers() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.pending))
-	for peer := range l.pending {
+	out := make([]string, 0, len(l.perPeer))
+	for peer := range l.perPeer {
 		out = append(out, peer)
 	}
 	sort.Strings(out)
@@ -378,15 +222,16 @@ func (l *Log) Peers() []string {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	ws := l.log.Stats()
 	return Stats{
-		Pending:   len(l.order),
-		Peers:     len(l.pending),
+		Pending:   l.log.Len(),
+		Peers:     len(l.perPeer),
 		Adds:      l.adds,
 		Delivered: l.delivered,
 		Dropped:   l.dropped,
-		Replayed:  l.replayed,
-		Truncated: l.truncated,
-		Degraded:  l.degraded,
+		Replayed:  ws.Replayed,
+		Truncated: ws.Truncated,
+		Degraded:  ws.Degraded,
 	}
 }
 
@@ -394,7 +239,7 @@ func (l *Log) Stats() Stats {
 func (l *Log) Degraded() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.degraded
+	return l.log.Stats().Degraded
 }
 
 // Close closes the active segment handle. Hints already appended stay
@@ -403,176 +248,5 @@ func (l *Log) Degraded() bool {
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.active != nil {
-		l.active.Close()
-		l.active = nil
-		l.degraded = true
-	}
-}
-
-// appendLocked writes one fsynced record line to the active segment,
-// opening the first segment lazily. Memory-only logs skip the disk.
-// Any error demotes the log.
-func (l *Log) appendLocked(rec *Record) error {
-	if l.dir == "" || l.degraded {
-		return nil
-	}
-	if l.active == nil {
-		if err := l.compactLocked(); err != nil {
-			return err
-		}
-	}
-	line, err := encodeLine(rec)
-	if err != nil {
-		return l.demoteLocked(err)
-	}
-	if _, err := l.active.Write(line); err != nil {
-		return l.demoteLocked(err)
-	}
-	if err := l.active.Sync(); err != nil {
-		return l.demoteLocked(err)
-	}
-	return nil
-}
-
-func (l *Log) activeSegmentPath() string {
-	if l.active == nil {
-		return ""
-	}
-	return filepath.Join(l.dir, fmt.Sprintf("%08d.wal", l.seq))
-}
-
-// compactLocked writes the current pending set into a fresh segment —
-// temp file, fsync, rename, dir fsync — and makes it the active append
-// target. The caller removes superseded segments on success.
-func (l *Log) compactLocked() error {
-	if l.dir == "" {
-		return nil
-	}
-	tmp, err := l.fs.CreateTemp(l.dir, "tmp-*")
-	if err != nil {
-		return l.demoteLocked(err)
-	}
-	for _, h := range l.order {
-		line, err := encodeLine(&Record{Op: OpAdd, Peer: h.peer, Key: h.key, At: h.at})
-		if err != nil {
-			tmp.Close()
-			_ = l.fs.Remove(tmp.Name())
-			return l.demoteLocked(err)
-		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			_ = l.fs.Remove(tmp.Name())
-			return l.demoteLocked(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = l.fs.Remove(tmp.Name())
-		return l.demoteLocked(err)
-	}
-	next := l.seq + 1
-	dest := filepath.Join(l.dir, fmt.Sprintf("%08d.wal", next))
-	if err := l.fs.Rename(tmp.Name(), dest); err != nil {
-		tmp.Close()
-		_ = l.fs.Remove(tmp.Name())
-		return l.demoteLocked(err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		tmp.Close()
-		return l.demoteLocked(err)
-	}
-	// The open handle follows the rename: appends land in the new
-	// segment file.
-	if l.active != nil {
-		l.active.Close()
-	}
-	l.active = tmp
-	l.seq = next
-	l.doneSince = 0
-	return nil
-}
-
-// demoteLocked flips the log to memory-only exactly once.
-func (l *Log) demoteLocked(cause error) error {
-	if !l.degraded {
-		l.degraded = true
-		if l.logf != nil {
-			l.logf("hints: log degraded to memory-only: %v (queued hints lose crash durability until restart)", cause)
-		}
-	}
-	return cause
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// segmentSeq parses "<seq>.wal" names.
-func segmentSeq(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, ".wal")
-	if !ok || len(base) != 8 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// addLineSize is the encoded add-line length of one hint — the unit the
-// MaxBytes cap meters.
-func addLineSize(peer, key string, at int64) int64 {
-	line, err := encodeLine(&Record{Op: OpAdd, Peer: peer, Key: key, At: at})
-	if err != nil {
-		return int64(len(peer) + len(key))
-	}
-	return int64(len(line))
-}
-
-// encodeLine renders one record line with its binding checksum.
-func encodeLine(rec *Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(body)
-	line := make([]byte, 0, len(logVersion)+1+64+1+len(body)+1)
-	line = append(line, logVersion...)
-	line = append(line, ' ')
-	line = append(line, hex.EncodeToString(sum[:])...)
-	line = append(line, ' ')
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeLine parses and verifies one record line.
-func decodeLine(line []byte) (*Record, error) {
-	rest, ok := strings.CutPrefix(string(line), logVersion+" ")
-	if !ok {
-		return nil, fmt.Errorf("bad version prefix")
-	}
-	sum, body, ok := strings.Cut(rest, " ")
-	if !ok || len(sum) != 64 {
-		return nil, fmt.Errorf("malformed checksum field")
-	}
-	got := sha256.Sum256([]byte(body))
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return nil, err
-	}
-	if rec.Peer == "" || rec.Key == "" || (rec.Op != OpAdd && rec.Op != OpDone) {
-		return nil, fmt.Errorf("invalid record op %q", rec.Op)
-	}
-	return &rec, nil
+	l.log.Close()
 }

@@ -1,6 +1,7 @@
 package hints
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"coordattack/internal/store"
 )
@@ -126,8 +126,8 @@ func TestHintsTornTailTolerated(t *testing.T) {
 	if err := l.Add(peerA, key(2)); err != nil {
 		t.Fatal(err)
 	}
-	seg := l.activeSegmentPath()
 	l.Close()
+	seg := onlySegment(t, dir)
 
 	// Chop the last line mid-record: the crash-torn tail.
 	data, err := os.ReadFile(seg)
@@ -149,9 +149,7 @@ func TestHintsTornTailTolerated(t *testing.T) {
 
 func TestHintsMaxBytesShedsOldest(t *testing.T) {
 	// Budget for exactly three hints; the fourth Add sheds the oldest.
-	// The size sample uses a realistic timestamp so its encoded length
-	// matches what Add writes.
-	per := addLineSize(peerA, key(0), time.Now().UnixNano())
+	per := hintSize(t)
 	l := mustOpen(t, t.TempDir(), Options{MaxBytes: 3 * per})
 	for i := 0; i < 4; i++ {
 		if err := l.Add(peerA, key(i)); err != nil {
@@ -177,7 +175,7 @@ func TestHintsMaxBytesShedsOldest(t *testing.T) {
 
 func TestHintsShedSurvivesReplay(t *testing.T) {
 	dir := t.TempDir()
-	per := addLineSize(peerA, key(0), time.Now().UnixNano())
+	per := hintSize(t)
 	l := mustOpen(t, dir, Options{MaxBytes: 2 * per})
 	for i := 0; i < 3; i++ {
 		if err := l.Add(peerA, key(i)); err != nil {
@@ -211,7 +209,8 @@ func TestHintsMemoryOnly(t *testing.T) {
 
 func TestHintsCompactionBoundsLog(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{CompactEvery: 8})
+	l := mustOpen(t, dir, Options{})
+	l.log.SetCompactEvery(8)
 	for i := 0; i < 40; i++ {
 		if err := l.Add(peerA, key(i)); err != nil {
 			t.Fatal(err)
@@ -306,23 +305,98 @@ func TestHintsDegradeOnWriteError(t *testing.T) {
 	}
 }
 
-func TestHintsRecordRoundTrip(t *testing.T) {
-	rec := &Record{Op: OpAdd, Peer: peerA, Key: key(7), At: 42}
-	line, err := encodeLine(rec)
+// hintSize is the encoded size of one pending hint, the MaxBytes unit,
+// sampled from a memory-only log so its timestamp is as wide as the
+// ones Add writes.
+func hintSize(t *testing.T) int64 {
+	t.Helper()
+	l := mustOpen(t, "", Options{})
+	if err := l.Add(peerA, key(0)); err != nil {
+		t.Fatal(err)
+	}
+	return l.log.Bytes()
+}
+
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeLine(line[:len(line)-1]) // strip trailing newline
+	if len(segs) != 1 {
+		t.Fatalf("want exactly one segment, have %v", segs)
+	}
+	return segs[0]
+}
+
+// goldenHints are the records of testdata/hints-v1.wal, a segment
+// written by the hint log before it moved onto internal/wal: three adds
+// and the delivery of the first.
+var goldenHints = []Record{
+	{Op: OpAdd, Peer: peerA, Key: key(1), At: 1792210907087689284},
+	{Op: OpAdd, Peer: peerA, Key: key(2), At: 1792210907088002899},
+	{Op: OpAdd, Peer: peerB, Key: key(1), At: 1792210907088114389},
+	{Op: OpDone, Peer: peerA, Key: key(1)},
+}
+
+// TestHintsGoldenCompat: the checked-in v1 segment replays to the same
+// pending set with its records intact, the same records encode to
+// byte-identical lines, and a line whose body no longer matches its
+// checksum is dropped — a daemon upgraded in place replays its old hint
+// log.
+func TestHintsGoldenCompat(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "hints-v1.wal"))
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Fatalf("round trip = %+v, want %+v", got, rec)
+	replay := func(data []byte) *Log {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mustOpen(t, dir, Options{})
 	}
-	// Flipping one body byte breaks the checksum.
-	corrupt := append([]byte(nil), line[:len(line)-1]...)
-	corrupt[len(corrupt)-2] ^= 1
-	if _, err := decodeLine(corrupt); err == nil {
-		t.Fatal("corrupted line decoded cleanly")
+	old := replay(golden)
+	if got := old.Pending(peerA); !reflect.DeepEqual(got, []string{key(2)}) {
+		t.Fatalf("golden Pending(A) = %v", got)
+	}
+	if got := old.Pending(peerB); !reflect.DeepEqual(got, []string{key(1)}) {
+		t.Fatalf("golden Pending(B) = %v", got)
+	}
+	for _, want := range goldenHints[1:3] {
+		if got, ok := old.log.Get(pair{want.Peer, want.Key}); !ok || got != want {
+			t.Fatalf("golden record = %+v (present %v), want %+v", got, ok, want)
+		}
+	}
+	if st := old.Stats(); st.Replayed != 2 || st.Truncated != 0 {
+		t.Fatalf("golden replay stats = %+v", st)
+	}
+
+	fresh := t.TempDir()
+	l := mustOpen(t, fresh, Options{})
+	for i := range goldenHints {
+		if err := l.log.Append(&goldenHints[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	written, err := os.ReadFile(onlySegment(t, fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("hint lines drifted from the v1 golden:\n got %s\nwant %s", written, golden)
+	}
+
+	// Flipping one byte of the final (done) body breaks its checksum:
+	// the tombstone is dropped and the delivered hint stays pending.
+	corrupt := append([]byte(nil), golden...)
+	corrupt[len(corrupt)-3] ^= 1
+	bad := replay(corrupt)
+	if got := bad.Pending(peerA); !reflect.DeepEqual(got, []string{key(1), key(2)}) {
+		t.Fatalf("Pending(A) with a corrupt tombstone = %v", got)
+	}
+	if st := bad.Stats(); st.Truncated != 1 {
+		t.Fatalf("Truncated = %d, want 1", st.Truncated)
 	}
 }

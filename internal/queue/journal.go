@@ -1,18 +1,13 @@
 package queue
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"coordattack/internal/store"
+	"coordattack/internal/wal"
 )
 
 // The pending-queue journal is a write-ahead log of admission: one
@@ -23,23 +18,12 @@ import (
 // a single fresh segment holding only the still-pending accepts, so the
 // log never grows across restarts.
 //
-// Line format, one record per line:
-//
-//	coordd-queue/v1 <sha256-hex over the JSON> <compact JSON record>\n
-//
-// The checksum binds each line independently, so replay survives a torn
-// tail (a crash mid-append) and even a torn middle (a chaos-injected
-// short write that later appends merge into): undecodable lines are
-// counted and skipped, checksummed lines are trusted. Segments are
-// created crash-safely with the store's own discipline — temp file,
-// fsync, rename, directory fsync — through the same store.FS
-// abstraction, so internal/chaos injects EIO/ENOSPC/torn-write faults
-// into the journal exactly as it does into the result store.
-//
-// Like the store, the journal degrades instead of failing its caller: a
-// write-path error demotes it to memory-only (logged once, visible in
-// /healthz), after which accepted jobs simply lose crash durability
-// until restart. Admission never fails because the log is sick.
+// The log itself — line format, segments, torn-line-tolerant replay,
+// compaction — is internal/wal. Like the store, the journal degrades
+// instead of failing its caller: a write-path error demotes it to
+// memory-only (logged once, visible in /healthz), after which accepted
+// jobs simply lose crash durability until restart. Admission never
+// fails because the log is sick.
 
 // journalVersion prefixes every record line. Unrecognized versions are
 // skipped on replay (counted as lost), never misparsed.
@@ -82,10 +66,6 @@ type JournalOptions struct {
 	// Logf receives one line per degradation, truncation, and
 	// compaction event; nil discards them.
 	Logf func(format string, args ...any)
-	// CompactEvery rewrites the log once this many tombstones have
-	// accumulated since the last compaction, bounding live growth.
-	// 0 means 1024.
-	CompactEvery int
 }
 
 // JournalStats is a point-in-time snapshot for /metrics and /healthz.
@@ -99,24 +79,31 @@ type JournalStats struct {
 	Degraded    bool  `json:"degraded"`
 }
 
+// journalCodec is the journal's WAL dialect: records keyed by job key,
+// settles the tombstones. An intent is still pending — only the
+// commit-driven settle clears it — so replay surfaces the recorded thief
+// and the service can poll it before re-running locally.
+var journalCodec = wal.Codec[string, Record]{
+	Version:   journalVersion,
+	Name:      "queue: journal",
+	Key:       func(r *Record) string { return r.Key },
+	Tombstone: func(r *Record) bool { return r.Op == OpSettle },
+	Validate: func(r *Record) error {
+		if r.Key == "" || (r.Op != OpAccept && r.Op != OpSettle && r.Op != OpIntent) {
+			return fmt.Errorf("invalid record op %q", r.Op)
+		}
+		return nil
+	},
+}
+
 // Journal is the durable pending queue. Safe for concurrent use; every
 // append is fsynced before it returns.
 type Journal struct {
-	dir  string
-	fs   store.FS
-	logf func(format string, args ...any)
-
-	mu           sync.Mutex
-	active       store.File
-	seq          uint64 // sequence number of the active segment
-	pending      map[string]*Record
-	order        []string // pending keys in accept order
-	replay       []Record // snapshot of pending taken at open
-	settledSince int
-	compactEvery int
-	degraded     bool
-
-	accepts, settles, truncated, compactions int64
+	mu      sync.Mutex
+	log     *wal.Log[string, Record] // live set = pending records, accept order
+	replay  []Record                 // snapshot of pending taken at open
+	accepts int64
+	settles int64
 }
 
 // OpenJournal opens (or creates) the journal at dir, replays its
@@ -126,154 +113,13 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("queue: empty journal directory")
 	}
-	fs := opts.FS
-	if fs == nil {
-		fs = store.DiskFS()
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 1024
-	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
+	log, err := wal.Open(dir, opts.FS, opts.Logf, journalCodec)
+	if err != nil {
 		return nil, fmt.Errorf("queue: %w", err)
 	}
-	j := &Journal{
-		dir:          dir,
-		fs:           fs,
-		logf:         opts.Logf,
-		pending:      make(map[string]*Record),
-		compactEvery: opts.CompactEvery,
-	}
-	segs, err := j.scan()
-	if err != nil {
-		return nil, err
-	}
-	for _, key := range j.order {
-		j.replay = append(j.replay, *j.pending[key])
-	}
-	// Compact-on-open: rewrite the pending set into one fresh segment
-	// and drop the old ones. A failure here degrades the journal at
-	// birth — replay still works (the reads succeeded), new accepts just
-	// are not durable until the disk heals and the daemon restarts.
-	j.mu.Lock()
-	if err := j.compactLocked(); err == nil {
-		for _, s := range segs {
-			_ = j.fs.Remove(filepath.Join(dir, s))
-		}
-	}
-	j.mu.Unlock()
+	j := &Journal{log: log}
+	log.Each(func(r *Record) { j.replay = append(j.replay, *r) })
 	return j, nil
-}
-
-// scan replays every segment in order, building the pending set, and
-// returns the segment filenames it consumed. Stray temp files from a
-// crash mid-compaction are swept.
-func (j *Journal) scan() ([]string, error) {
-	entries, err := j.fs.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	var segs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, "tmp-") {
-			_ = j.fs.Remove(filepath.Join(j.dir, name))
-			continue
-		}
-		if seq, ok := segmentSeq(name); ok {
-			segs = append(segs, name)
-			if seq > j.seq {
-				j.seq = seq
-			}
-		}
-	}
-	sort.Slice(segs, func(a, b int) bool {
-		sa, _ := segmentSeq(segs[a])
-		sb, _ := segmentSeq(segs[b])
-		return sa < sb
-	})
-	for _, name := range segs {
-		data, err := j.fs.ReadFile(filepath.Join(j.dir, name))
-		if err != nil {
-			continue
-		}
-		j.applySegment(name, data)
-	}
-	return segs, nil
-}
-
-// applySegment replays one segment's lines into the pending set.
-// Undecodable lines — the torn tail of a crash mid-append, or a chaos-
-// injected short write — are counted and skipped; every line that
-// checksums is applied.
-func (j *Journal) applySegment(name string, data []byte) {
-	for len(data) > 0 {
-		line := data
-		if nl := indexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			data = nil // trailing partial line
-		}
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := decodeLine(line)
-		if err != nil {
-			j.truncated++
-			if j.logf != nil {
-				j.logf("queue: journal %s: dropped undecodable record: %v", name, err)
-			}
-			continue
-		}
-		switch rec.Op {
-		case OpAccept, OpIntent:
-			// An intent is still pending — only the commit-driven settle
-			// tombstone clears it. Replay surfaces the recorded thief so
-			// the service can poll it before re-running locally.
-			if _, ok := j.pending[rec.Key]; !ok {
-				j.order = append(j.order, rec.Key)
-			}
-			j.pending[rec.Key] = rec
-		case OpSettle:
-			if _, ok := j.pending[rec.Key]; ok {
-				delete(j.pending, rec.Key)
-				j.order = removeKey(j.order, rec.Key)
-			}
-		}
-	}
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func removeKey(order []string, key string) []string {
-	for i, k := range order {
-		if k == key {
-			return append(order[:i], order[i+1:]...)
-		}
-	}
-	return order
-}
-
-// segmentSeq parses "<seq>.wal" names.
-func segmentSeq(name string) (uint64, bool) {
-	base, ok := strings.CutSuffix(name, ".wal")
-	if !ok || len(base) != 8 {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(base, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // Pending returns the accept records recovered at open, in admission
@@ -297,12 +143,7 @@ func (j *Journal) Accept(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.accepts++
-	r := rec
-	if _, ok := j.pending[rec.Key]; !ok {
-		j.order = append(j.order, rec.Key)
-	}
-	j.pending[rec.Key] = &r
-	return j.appendLocked(&r)
+	return j.log.Append(&rec)
 }
 
 // Intent re-stamps key's pending record with the thief's address and
@@ -313,15 +154,13 @@ func (j *Journal) Accept(rec Record) error {
 func (j *Journal) Intent(key, thief string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec, ok := j.pending[key]
+	rec, ok := j.log.Get(key)
 	if !ok {
 		return nil
 	}
-	r := *rec
-	r.Op = OpIntent
-	r.Thief = thief
-	j.pending[key] = &r
-	return j.appendLocked(&r)
+	rec.Op = OpIntent
+	rec.Thief = thief
+	return j.log.Append(&rec)
 }
 
 // Settle appends a tombstone for key. Settling a key with no pending
@@ -329,138 +168,33 @@ func (j *Journal) Intent(key, thief string) error {
 func (j *Journal) Settle(key string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.pending[key]; !ok {
+	if _, ok := j.log.Get(key); !ok {
 		return nil
 	}
-	delete(j.pending, key)
-	j.order = removeKey(j.order, key)
 	j.settles++
-	j.settledSince++
-	if err := j.appendLocked(&Record{Op: OpSettle, Key: key}); err != nil {
-		return err
-	}
-	if j.settledSince >= j.compactEvery {
-		// Live compaction: the log has accumulated a segment's worth of
-		// tombstones; rewrite it down to the pending set so a long-lived
-		// daemon's journal stays bounded by its backlog, not its history.
-		old := j.activeSegmentPath()
-		if err := j.compactLocked(); err == nil && old != "" {
-			_ = j.fs.Remove(old)
-		}
-	}
-	return nil
-}
-
-func (j *Journal) activeSegmentPath() string {
-	if j.active == nil {
-		return ""
-	}
-	return filepath.Join(j.dir, fmt.Sprintf("%08d.wal", j.seq))
-}
-
-// appendLocked writes one fsynced record line to the active segment,
-// opening the first segment lazily. Any error demotes the journal.
-func (j *Journal) appendLocked(rec *Record) error {
-	if j.degraded {
-		return nil
-	}
-	if j.active == nil {
-		if err := j.compactLocked(); err != nil {
-			return err
-		}
-	}
-	line, err := encodeLine(rec)
-	if err != nil {
-		return j.demoteLocked(err)
-	}
-	if _, err := j.active.Write(line); err != nil {
-		return j.demoteLocked(err)
-	}
-	if err := j.active.Sync(); err != nil {
-		return j.demoteLocked(err)
-	}
-	return nil
-}
-
-// compactLocked writes the current pending set into a fresh segment —
-// temp file, fsync, rename, dir fsync — and makes it the active append
-// target. The caller removes superseded segments on success.
-func (j *Journal) compactLocked() error {
-	tmp, err := j.fs.CreateTemp(j.dir, "tmp-*")
-	if err != nil {
-		return j.demoteLocked(err)
-	}
-	for _, key := range j.order {
-		line, err := encodeLine(j.pending[key])
-		if err != nil {
-			tmp.Close()
-			_ = j.fs.Remove(tmp.Name())
-			return j.demoteLocked(err)
-		}
-		if _, err := tmp.Write(line); err != nil {
-			tmp.Close()
-			_ = j.fs.Remove(tmp.Name())
-			return j.demoteLocked(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = j.fs.Remove(tmp.Name())
-		return j.demoteLocked(err)
-	}
-	next := j.seq + 1
-	dest := filepath.Join(j.dir, fmt.Sprintf("%08d.wal", next))
-	if err := j.fs.Rename(tmp.Name(), dest); err != nil {
-		tmp.Close()
-		_ = j.fs.Remove(tmp.Name())
-		return j.demoteLocked(err)
-	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		tmp.Close()
-		return j.demoteLocked(err)
-	}
-	// The open handle follows the rename: appends land in the new
-	// segment file.
-	if j.active != nil {
-		j.active.Close()
-	}
-	j.active = tmp
-	j.seq = next
-	j.settledSince = 0
-	j.compactions++
-	return nil
-}
-
-// demoteLocked flips the journal to memory-only exactly once.
-func (j *Journal) demoteLocked(cause error) error {
-	if !j.degraded {
-		j.degraded = true
-		if j.logf != nil {
-			j.logf("queue: journal degraded to memory-only: %v (accepted jobs lose crash durability until restart)", cause)
-		}
-	}
-	return cause
+	return j.log.Append(&Record{Op: OpSettle, Key: key})
 }
 
 // Degraded reports whether a write error demoted the journal.
 func (j *Journal) Degraded() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.degraded
+	return j.log.Stats().Degraded
 }
 
 // Stats snapshots the journal's counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	ws := j.log.Stats()
 	return JournalStats{
-		Pending:     len(j.pending),
+		Pending:     j.log.Len(),
 		Accepts:     j.accepts,
 		Settles:     j.settles,
-		Replayed:    len(j.replay),
-		Truncated:   j.truncated,
-		Compactions: j.compactions,
-		Degraded:    j.degraded,
+		Replayed:    ws.Replayed,
+		Truncated:   ws.Truncated,
+		Compactions: ws.Compactions,
+		Degraded:    ws.Degraded,
 	}
 }
 
@@ -470,50 +204,5 @@ func (j *Journal) Stats() JournalStats {
 func (j *Journal) Close() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.active != nil {
-		j.active.Close()
-		j.active = nil
-		j.degraded = true
-	}
-}
-
-// encodeLine renders one record line with its binding checksum.
-func encodeLine(rec *Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(body)
-	line := make([]byte, 0, len(journalVersion)+1+64+1+len(body)+1)
-	line = append(line, journalVersion...)
-	line = append(line, ' ')
-	line = append(line, hex.EncodeToString(sum[:])...)
-	line = append(line, ' ')
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeLine parses and verifies one record line.
-func decodeLine(line []byte) (*Record, error) {
-	rest, ok := strings.CutPrefix(string(line), journalVersion+" ")
-	if !ok {
-		return nil, fmt.Errorf("bad version prefix")
-	}
-	sum, body, ok := strings.Cut(rest, " ")
-	if !ok || len(sum) != 64 {
-		return nil, fmt.Errorf("malformed checksum field")
-	}
-	got := sha256.Sum256([]byte(body))
-	if hex.EncodeToString(got[:]) != sum {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(body), &rec); err != nil {
-		return nil, err
-	}
-	if rec.Key == "" || (rec.Op != OpAccept && rec.Op != OpSettle && rec.Op != OpIntent) {
-		return nil, fmt.Errorf("invalid record op %q", rec.Op)
-	}
-	return &rec, nil
+	j.log.Close()
 }

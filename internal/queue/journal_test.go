@@ -1,10 +1,12 @@
 package queue
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,12 +183,14 @@ func TestJournalCompactOnOpen(t *testing.T) {
 	}
 }
 
-// TestJournalLiveCompaction: once CompactEvery tombstones accumulate the
-// log is rewritten in place, bounded by the backlog.
+// TestJournalLiveCompaction: once the live-compaction threshold of
+// tombstones accumulates the log is rewritten in place, bounded by the
+// backlog.
 func TestJournalLiveCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j := openJournal(t, dir, JournalOptions{CompactEvery: 3})
+	j := openJournal(t, dir, JournalOptions{})
 	defer j.Close()
+	j.log.SetCompactEvery(3)
 	for i := 0; i < 8; i++ {
 		if err := j.Accept(acceptRec(fmt.Sprintf("k%d", i))); err != nil {
 			t.Fatal(err)
@@ -235,12 +239,19 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 	j1.Close()
 	// Fabricate the torn tail: append a prefix of a valid record line
-	// with no trailing newline, as a crash mid-write would leave.
-	seg := onlySegment(t, dir)
-	full, err := encodeLine(&Record{Op: OpAccept, Key: "torn", Flow: "interactive"})
+	// with no trailing newline, as a crash mid-write would leave. The
+	// full line is what a journal in another directory writes.
+	other := t.TempDir()
+	jt := openJournal(t, other, JournalOptions{})
+	if err := jt.Accept(Record{Key: "torn", Flow: "interactive"}); err != nil {
+		t.Fatal(err)
+	}
+	jt.Close()
+	full, err := os.ReadFile(onlySegment(t, other))
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := onlySegment(t, dir)
 	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -355,4 +366,114 @@ func onlySegment(t *testing.T, dir string) string {
 		t.Fatalf("want exactly one segment, have %v", names)
 	}
 	return filepath.Join(dir, entries[0].Name())
+}
+
+// readFailFS fails ReadFile for one named file, standing in for a
+// transient read error at boot.
+type readFailFS struct {
+	store.FS
+	name string
+}
+
+func (f readFailFS) ReadFile(name string) ([]byte, error) {
+	if filepath.Base(name) == f.name {
+		return nil, fmt.Errorf("readFailFS: injected read error")
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestJournalUnreadableSegmentSurvives: a segment that cannot be read at
+// open is never deleted — the journal starts degraded instead of
+// compacting, and a later open on a healthy disk replays the accepted
+// jobs it holds.
+func TestJournalUnreadableSegmentSurvives(t *testing.T) {
+	dir := t.TempDir()
+	j1 := openJournal(t, dir, JournalOptions{})
+	for _, k := range []string{"a", "b"} {
+		if err := j1.Accept(acceptRec(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j1.Close()
+	seg := onlySegment(t, dir)
+
+	j2 := openJournal(t, dir, JournalOptions{FS: readFailFS{FS: store.DiskFS(), name: filepath.Base(seg)}})
+	if !j2.Degraded() {
+		t.Fatal("journal with an unreadable segment did not start degraded")
+	}
+	if err := j2.Accept(acceptRec("c")); err != nil {
+		t.Fatalf("accept while degraded = %v, want nil", err)
+	}
+	j2.Close()
+	if _, err := os.Stat(seg); err != nil {
+		t.Fatalf("unreadable segment did not survive open: %v", err)
+	}
+
+	j3 := openJournal(t, dir, JournalOptions{})
+	defer j3.Close()
+	if got := pendingKeys(j3.Pending()); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("pending after healthy reopen = %v, want [a b]", got)
+	}
+}
+
+// goldenJournal is the operation sequence behind testdata/journal-v1.wal,
+// a segment written by the journal before it moved onto internal/wal:
+// three accepts, an intent on k-b, a settle of k-a.
+func goldenJournal(t *testing.T, j *Journal) {
+	t.Helper()
+	for _, rec := range []Record{
+		{Key: "k-a", Flow: "interactive", Class: "interactive", Spec: json.RawMessage(`{"protocol":"s:0.5","seed":1}`), At: 1700000000000000001},
+		{Key: "k-b", Flow: "sw000002", Class: "sweep", Priority: 5, Spec: json.RawMessage(`{"protocol":"s:0.1","rounds":8,"seed":2}`), At: 1700000000000000002},
+		{Key: "k-c", Flow: "interactive", Class: "interactive", Priority: -3, Spec: json.RawMessage(`{"protocol":"a","seed":3}`), At: 1700000000000000003},
+	} {
+		if err := j.Accept(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Intent("k-b", "http://127.0.0.1:9002"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Settle("k-a"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalGoldenCompat: the checked-in v1 segment replays to the same
+// pending set, and the same operations write byte-identical lines, so a
+// daemon upgraded in place replays its old journal.
+func TestJournalGoldenCompat(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "journal-v1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := openJournal(t, dir, JournalOptions{})
+	got := old.Pending()
+	st := old.Stats()
+	old.Close()
+	want := []Record{
+		{Op: OpIntent, Key: "k-b", Flow: "sw000002", Class: "sweep", Priority: 5, Spec: json.RawMessage(`{"protocol":"s:0.1","rounds":8,"seed":2}`), Thief: "http://127.0.0.1:9002", At: 1700000000000000002},
+		{Op: OpAccept, Key: "k-c", Flow: "interactive", Class: "interactive", Priority: -3, Spec: json.RawMessage(`{"protocol":"a","seed":3}`), At: 1700000000000000003},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden replay pending = %+v, want %+v", got, want)
+	}
+	if st.Truncated != 0 || st.Replayed != 2 {
+		t.Fatalf("golden replay stats = %+v", st)
+	}
+
+	fresh := t.TempDir()
+	j := openJournal(t, fresh, JournalOptions{})
+	goldenJournal(t, j)
+	j.Close()
+	written, err := os.ReadFile(onlySegment(t, fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("journal lines drifted from the v1 golden:\n got %s\nwant %s", written, golden)
+	}
 }

@@ -225,6 +225,7 @@ var (
 // mu.
 type Job struct {
 	id   string
+	seq  int64 // admission sequence behind id; orders retention
 	key  string
 	spec JobSpec // canonical
 	// class is the scheduling class this job was admitted under, feeding
@@ -805,10 +806,10 @@ func (s *Server) newJob(canon JobSpec, key string) *Job {
 	deadline, _ := ctx.Deadline()
 	s.mu.Lock()
 	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
+	seq := s.nextID
 	s.mu.Unlock()
 	return &Job{
-		id: id, key: key, spec: canon,
+		id: fmt.Sprintf("j%06d", seq), seq: seq, key: key, spec: canon,
 		class: queue.ClassInteractive,
 		ctx:   ctx, cancel: cancel, deadline: deadline,
 		done:  make(chan struct{}),
@@ -846,7 +847,7 @@ func (s *Server) gcJobs() {
 	if len(settled) <= s.cfg.JobRetention {
 		return
 	}
-	sort.Slice(settled, func(a, b int) bool { return settled[a].id < settled[b].id })
+	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
 	for _, j := range settled[:len(settled)-s.cfg.JobRetention] {
 		delete(s.jobs, j.id)
 		s.metrics.JobsEvicted.Add(1)
@@ -880,7 +881,7 @@ func (s *Server) Jobs() []*Status {
 		all = append(all, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
+	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	out := make([]*Status, len(all))
 	for i, j := range all {
 		out[i] = j.status()

@@ -207,6 +207,7 @@ func (ss SweepSpec) expand() ([]*sweepCell, string, error) {
 // and a done channel closed when every cell has settled.
 type Sweep struct {
 	id    string
+	seq   int64 // admission sequence behind id; orders retention
 	key   string
 	cells []*sweepCell
 	done  chan struct{}
@@ -280,7 +281,8 @@ func (s *Server) SubmitSweep(spec SweepSpec) (*SweepStatus, error) {
 		return nil, ErrQueueFull
 	}
 	s.nextID++
-	sw.id = fmt.Sprintf("sw%06d", s.nextID)
+	sw.seq = s.nextID
+	sw.id = fmt.Sprintf("sw%06d", sw.seq)
 	s.sweeps[sw.id] = sw
 	// Registering the dispatcher under the lock orders this Add before
 	// Drain's Wait: a sweep accepted before draining is always waited
@@ -454,7 +456,7 @@ func (s *Server) gcSweeps() {
 	if len(settled) <= s.cfg.SweepRetention {
 		return
 	}
-	sort.Slice(settled, func(a, b int) bool { return settled[a].id < settled[b].id })
+	sort.Slice(settled, func(a, b int) bool { return settled[a].seq < settled[b].seq })
 	for _, sw := range settled[:len(settled)-s.cfg.SweepRetention] {
 		delete(s.sweeps, sw.id)
 		s.metrics.SweepsEvicted.Add(1)
@@ -515,7 +517,7 @@ func (s *Server) Sweeps() []*SweepStatus {
 		all = append(all, sw)
 	}
 	s.mu.Unlock()
-	sort.Slice(all, func(a, b int) bool { return all[a].id < all[b].id })
+	sort.Slice(all, func(a, b int) bool { return all[a].seq < all[b].seq })
 	out := make([]*SweepStatus, len(all))
 	for i, sw := range all {
 		out[i] = s.sweepStatus(sw)

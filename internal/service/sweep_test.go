@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -345,5 +346,49 @@ func TestSweepRetentionEvictsSettled(t *testing.T) {
 		if st.ID == first.ID {
 			t.Error("evicted sweep still listed")
 		}
+	}
+}
+
+// TestSweepRetentionPastMillionIDs: sweep retention orders by admission
+// sequence, not by id string, so sweeps whose ids grew a seventh digit
+// are kept over older six-digit ones, and the listing stays oldest
+// first.
+func TestSweepRetentionPastMillionIDs(t *testing.T) {
+	s := New(Config{Workers: 2, SweepRetention: 2})
+	defer drain(t, s)
+	s.mu.Lock()
+	s.nextID = 999997
+	s.mu.Unlock()
+
+	var ids []string
+	for seed := uint64(1); seed <= 4; seed++ {
+		st, err := s.SubmitSweep(SweepSpec{Base: JobSpec{Protocol: "s:0.5", Rounds: 4, Trials: 200, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, s, st.ID, 15*time.Second)
+		ids = append(ids, st.ID)
+	}
+	if len(ids[0]) != len("sw999998") || len(ids[3]) != len("sw1000000") {
+		t.Fatalf("ids = %v, want the run to cross a million", ids)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().SweepsEvicted.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("settled sweeps past the retention limit never evicted")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, id := range ids[2:] {
+		if _, err := s.GetSweep(id); err != nil {
+			t.Errorf("newest settled sweep %s evicted: %v", id, err)
+		}
+	}
+	var listed []string
+	for _, st := range s.Sweeps() {
+		listed = append(listed, st.ID)
+	}
+	if !slices.Equal(listed, ids[2:]) {
+		t.Errorf("Sweeps() = %v, want %v", listed, ids[2:])
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -144,5 +145,54 @@ func TestJobsGCEvictsOldestSettledOnly(t *testing.T) {
 	}
 	if got := s.Metrics().JobsEvicted.Load(); got < 2 {
 		t.Errorf("jobs evicted metric = %d, want >= 2", got)
+	}
+}
+
+// TestJobsGCPastMillionIDs: retention orders jobs by admission sequence,
+// not by id string, so once ids grow a seventh digit ("j1000000" sorts
+// before "j999998" as a string) the newest settled jobs are still the
+// ones kept, and the listing stays oldest first.
+func TestJobsGCPastMillionIDs(t *testing.T) {
+	s := New(Config{Workers: 2, JobRetention: 2})
+	defer drain(t, s)
+	s.mu.Lock()
+	s.nextID = 999997
+	s.mu.Unlock()
+
+	var ids []string
+	for seed := uint64(1); seed <= 4; seed++ {
+		st, err := s.Submit(JobSpec{Protocol: "s:0.5", Rounds: 2, Trials: 300, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, st.ID, 10*time.Second)
+		ids = append(ids, st.ID)
+	}
+	if ids[2] != "j1000000" || ids[3] != "j1000001" {
+		t.Fatalf("ids = %v, want the last two past a million", ids)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().JobsEvicted.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("settled jobs past the retention limit never evicted")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, id := range ids[2:] {
+		if _, err := s.Get(id); err != nil {
+			t.Errorf("newest settled job %s evicted: %v", id, err)
+		}
+	}
+	for _, id := range ids[:2] {
+		if _, err := s.Get(id); err != ErrNotFound {
+			t.Errorf("oldest settled job %s still queryable, want evicted", id)
+		}
+	}
+	var listed []string
+	for _, st := range s.Jobs() {
+		listed = append(listed, st.ID)
+	}
+	if !slices.Equal(listed, ids[2:]) {
+		t.Errorf("Jobs() = %v, want %v", listed, ids[2:])
 	}
 }
