@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-check report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec fuzz-wal clean
+.PHONY: all build test test-race bench bench-check report quick-report fault-demo service-demo sweep-demo persist-demo chaos-demo queue-demo cluster-demo cluster-chaos-demo cluster-hints-demo fuzz fuzz-spec fuzz-wal clean
 
 all: build test
 
@@ -19,22 +19,16 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Throughput baseline: run the fixed protocol × graph × engine matrix
-# and check in the next BENCH_N.json (compare against the previous one
-# before merging a perf-sensitive change).
-bench-json:
-	@set -e; \
-	n=$$(ls BENCH_*.json 2>/dev/null | wc -l); \
-	n=$$(( n + 1 )); \
-	$(GO) run ./cmd/coordbench -bench -out BENCH_$$n.json; \
-	echo "wrote BENCH_$$n.json"
-
-# Perf-regression smoke gate (CI): a quick matrix run must stay within
-# 2x of the last reference-engine baseline. The fast engines beat it by
-# an order of magnitude, so only an accidental fallback to the
-# reference path (or a genuine engine regression) trips this.
+# Fast-path regression gate (CI): for each {s:0.1, detfullinfo} ×
+# {pair, complete:4, ring:6} × {sim.Engine, mc.Estimate} cell, time the
+# fast path against the reference path in one process and fail if the
+# median speedup over 7 interleaved rounds drops below the cell's floor
+# (internal/mc/gate_test.go). Host speed cancels out of the ratio, so a
+# fast-path slowdown of about 3x fails on any runner. The perfgate tag
+# keeps this timing test out of `go test ./...`. End-to-end service
+# numbers come from perfbench (bash perfbench/run.sh).
 bench-check:
-	$(GO) run ./cmd/coordbench -bench -trials 2000 -baseline BENCH_1.json -max-slowdown 2 -out /dev/null
+	$(GO) test -tags perfgate -run TestFastPathRatioGate -count=1 -v ./internal/mc/
 
 # Full-fidelity reproduction report (EXPERIMENTS.md body).
 report:

@@ -51,28 +51,8 @@ func run(args []string, out io.Writer) int {
 		sweep    = fs.String("sweep", "", "with -server: sweep spec JSON, or @file")
 		wait     = fs.Duration("wait", 10*time.Minute, "with -server: how long to wait for the sweep to settle")
 		priority = fs.Int("priority", 0, "with -server: scheduling priority stamped on the sweep's base spec (-100..100, higher runs first)")
-		bench    = fs.Bool("bench", false, "throughput-baseline mode: measure trials/sec over the fixed protocol × graph × engine matrix, emit JSON")
-		baseline = fs.String("baseline", "", "with -bench: compare against this BENCH_N.json and fail on regressions")
-		maxSlow  = fs.Float64("max-slowdown", 2, "with -bench -baseline: fail any cell slower than this factor of its baseline throughput")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *bench {
-		sink := out
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			defer f.Close()
-			sink = f
-		}
-		return runBench(*trials, *seed, *baseline, *maxSlow, sink)
-	}
-	if *baseline != "" {
-		fmt.Fprintln(os.Stderr, "coordbench: -baseline needs -bench")
 		return 2
 	}
 	if *server != "" {

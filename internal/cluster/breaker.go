@@ -29,9 +29,13 @@ type Breaker struct {
 	probing   bool
 }
 
+// newBreaker builds a breaker; threshold <= 0 means 3 and cooldown <= 0
+// means 10 s, the defaults Options documents. The default tolerates the
+// one failed ping a node sends to a peer that has not started listening
+// yet, so booting a cluster node by node never opens a breaker.
 func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
-	if threshold < 1 {
-		threshold = 1
+	if threshold <= 0 {
+		threshold = 3
 	}
 	if cooldown <= 0 {
 		cooldown = 10 * time.Second

@@ -181,3 +181,31 @@ func TestPeerDetectorLoopAndOnAlive(t *testing.T) {
 		t.Fatalf("health changed after StopDetector: %q", got)
 	}
 }
+
+// TestDefaultBreakerThresholdToleratesBootPing pins Options' documented
+// default (BreakerThreshold 0 means 3), which coordd relies on: the
+// failed pings a node sends to a peer that is still booting must not
+// open that peer's breaker.
+func TestDefaultBreakerThresholdToleratesBootPing(t *testing.T) {
+	h := &flipHandler{}
+	h.status.Store(http.StatusServiceUnavailable)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	c, err := New(Options{Self: "http://self.invalid:1", Peers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := NormalizeAddr(srv.URL)
+	for i := 1; i <= 3; i++ {
+		if _, err := c.Ping(context.Background(), addr); err == nil {
+			t.Fatalf("ping %d to a 503 peer succeeded", i)
+		}
+		want := StateClosed
+		if i == 3 {
+			want = StateOpen
+		}
+		if got := c.Snapshot().Peers[0].Breaker; got != want {
+			t.Fatalf("breaker after %d failed pings = %s, want %s", i, got, want)
+		}
+	}
+}

@@ -2,15 +2,12 @@ package hints
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"coordattack/internal/store"
 )
 
 const (
@@ -117,6 +114,9 @@ func TestHintsReopenReplays(t *testing.T) {
 	}
 }
 
+// TestHintsTornTailTolerated is the hint log's smoke test of the shared
+// WAL fault path; internal/wal's fault suite covers torn and corrupt
+// lines and write errors in full.
 func TestHintsTornTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{})
@@ -240,68 +240,6 @@ func TestHintsCompactionBoundsLog(t *testing.T) {
 	// fewer than the 80 records written in total.
 	if lines := strings.Count(string(data), "\n"); lines >= 80 {
 		t.Fatalf("compaction never bounded the log: %d lines", lines)
-	}
-}
-
-// flakyFS delegates to the real disk but fails every File.Sync after an
-// armed trip point, driving the degrade path. Defined locally — the
-// chaos package imports hints for its soak, so hints tests cannot
-// import chaos back.
-type flakyFS struct {
-	store.FS
-	fail bool
-}
-
-type flakyFile struct {
-	store.File
-	fs *flakyFS
-}
-
-func (f *flakyFS) CreateTemp(dir, pattern string) (store.File, error) {
-	file, err := f.FS.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{File: file, fs: f}, nil
-}
-
-func (f *flakyFile) Sync() error {
-	if f.fs.fail {
-		return errors.New("injected sync failure")
-	}
-	return f.File.Sync()
-}
-
-func TestHintsDegradeOnWriteError(t *testing.T) {
-	fs := &flakyFS{FS: store.DiskFS()}
-	var logged []string
-	l := mustOpen(t, t.TempDir(), Options{
-		FS:   fs,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
-	})
-	if err := l.Add(peerA, key(1)); err != nil {
-		t.Fatalf("healthy Add: %v", err)
-	}
-	fs.fail = true
-	if err := l.Add(peerA, key(2)); err == nil {
-		t.Fatal("Add over failing fsync returned nil error")
-	}
-	if !l.Degraded() {
-		t.Fatal("write error did not demote the log")
-	}
-	// Demoted logs keep working in memory and do not re-log.
-	n := len(logged)
-	if err := l.Add(peerA, key(3)); err != nil {
-		t.Fatalf("memory-only Add after demotion: %v", err)
-	}
-	if len(logged) != n {
-		t.Fatalf("demotion logged more than once: %v", logged)
-	}
-	if got := l.PendingFor(peerA); got != 3 {
-		t.Fatalf("pending after demotion = %d, want 3", got)
-	}
-	if n == 0 || !strings.Contains(logged[0], "degraded") {
-		t.Fatalf("missing degradation log line: %v", logged)
 	}
 }
 

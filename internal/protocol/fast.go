@@ -7,14 +7,14 @@ import (
 )
 
 // FastState is the struct-of-arrays execution surface behind the
-// zero-alloc trial engines. Where Machine models one process holding its
+// zero-alloc trial engine. Where Machine models one process holding its
 // own boxed messages, a FastState holds the state of all m processes at
 // once in flat arrays and advances them against a run.Set bitset —
 // no message values, no per-round slices, no allocation after
 // construction.
 //
 // The state is double-buffered by round parity. The contract engines rely
-// on (and the concurrent engine's race freedom depends on):
+// on:
 //
 //   - Init writes every process's round-0 state into the parity-0 buffer.
 //   - Step(rs, round, i) reads only round-1 parity state (any process)
@@ -25,9 +25,7 @@ import (
 //     stable once every process has stepped round N.
 //
 // A FastState is reusable: Init fully resets it for the next trial. It is
-// not safe for concurrent use across trials; within one trial, concurrent
-// Step calls for distinct processes in the same round are safe by the
-// buffer contract above.
+// not safe for concurrent use.
 type FastState interface {
 	// Init resets the state for a new trial of the run rs, drawing any
 	// start-state randomness from bank (bank.Tape(i) is α_i, bit-identical

@@ -8,64 +8,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"coordattack/internal/store"
 )
-
-// failFS wraps the disk FS with a manual outage switch, a minimal stand-
-// in for internal/chaos (which cannot be imported here: chaos → service
-// → queue). The full chaos-driven journal fault tests live in
-// internal/chaos.
-type failFS struct {
-	store.FS
-	broken atomic.Bool
-}
-
-func (f *failFS) err() error {
-	if f.broken.Load() {
-		return fmt.Errorf("failFS: injected write error")
-	}
-	return nil
-}
-
-func (f *failFS) CreateTemp(dir, pattern string) (store.File, error) {
-	if err := f.err(); err != nil {
-		return nil, err
-	}
-	inner, err := f.FS.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &failFile{File: inner, fs: f}, nil
-}
-
-func (f *failFS) Rename(oldpath, newpath string) error {
-	if err := f.err(); err != nil {
-		return err
-	}
-	return f.FS.Rename(oldpath, newpath)
-}
-
-type failFile struct {
-	store.File
-	fs *failFS
-}
-
-func (f *failFile) Write(p []byte) (int, error) {
-	if err := f.fs.err(); err != nil {
-		return 0, err
-	}
-	return f.File.Write(p)
-}
-
-func (f *failFile) Sync() error {
-	if err := f.fs.err(); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
 
 func openJournal(t *testing.T, dir string, opts JournalOptions) *Journal {
 	t.Helper()
@@ -228,7 +174,9 @@ func TestJournalLiveCompaction(t *testing.T) {
 }
 
 // TestJournalTornTailRecovery: a crash mid-append leaves a partial final
-// line; replay skips it and keeps every intact record.
+// line; replay skips it and keeps every intact record. This is the
+// journal's smoke test of the shared WAL fault path; internal/wal's
+// fault suite covers torn and corrupt lines and write errors in full.
 func TestJournalTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	j1 := openJournal(t, dir, JournalOptions{})
@@ -272,43 +220,6 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalSkipsCorruptMiddleLine: a corrupted line mid-segment (bit
-// rot, or a torn write merged with a later append) is skipped while the
-// lines around it replay.
-func TestJournalSkipsCorruptMiddleLine(t *testing.T) {
-	dir := t.TempDir()
-	j1 := openJournal(t, dir, JournalOptions{})
-	for _, k := range []string{"a", "b", "c"} {
-		if err := j1.Accept(acceptRec(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j1.Close()
-	seg := onlySegment(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	// Flip a byte inside the middle record's JSON body.
-	mid := []byte(lines[1])
-	mid[len(mid)-10] ^= 0x01
-	lines[1] = string(mid)
-	if err := os.WriteFile(seg, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2 := openJournal(t, dir, JournalOptions{})
-	defer j2.Close()
-	got := pendingKeys(j2.Pending())
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("pending around corrupt line = %v, want [a c]", got)
-	}
-	if st := j2.Stats(); st.Truncated != 1 {
-		t.Fatalf("truncated = %d, want 1", st.Truncated)
-	}
-}
-
 // TestJournalSettleUnknownKeyIsNoop: tombstoning a key with no pending
 // accept (replayed duplicate, never-journaled job) does nothing.
 func TestJournalSettleUnknownKeyIsNoop(t *testing.T) {
@@ -320,35 +231,6 @@ func TestJournalSettleUnknownKeyIsNoop(t *testing.T) {
 	}
 	if st := j.Stats(); st.Settles != 0 {
 		t.Fatalf("settles = %d after no-op settle", st.Settles)
-	}
-}
-
-// TestJournalDegradesOnWriteError: a failing disk demotes the journal to
-// memory-only — accepts still succeed in memory, admission never fails.
-func TestJournalDegradesOnWriteError(t *testing.T) {
-	dir := t.TempDir()
-	ffs := &failFS{FS: store.DiskFS()}
-	j := openJournal(t, dir, JournalOptions{FS: ffs})
-	defer j.Close()
-	if err := j.Accept(acceptRec("before")); err != nil {
-		t.Fatalf("accept on healthy disk: %v", err)
-	}
-	ffs.broken.Store(true)
-	if err := j.Accept(acceptRec("during")); err == nil {
-		t.Fatal("accept during outage returned nil, want advisory error")
-	}
-	if !j.Degraded() {
-		t.Fatal("journal not degraded after write error")
-	}
-	// Degraded journals absorb further traffic silently.
-	if err := j.Accept(acceptRec("after")); err != nil {
-		t.Fatalf("accept while degraded = %v, want nil", err)
-	}
-	if err := j.Settle("before"); err != nil {
-		t.Fatalf("settle while degraded = %v, want nil", err)
-	}
-	if st := j.Stats(); st.Pending != 2 || !st.Degraded {
-		t.Fatalf("stats while degraded = %+v", st)
 	}
 }
 

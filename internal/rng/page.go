@@ -96,7 +96,7 @@ func (p *SeedPage) Seed(trial, proc uint64) uint64 {
 }
 
 // Bank is a fixed family of per-process tapes reseeded in place once per
-// trial — the arena backing α_1..α_m in the fast engines. Index 0 is the
+// trial — the arena backing α_1..α_m in the fast engine. Index 0 is the
 // run-sampler tape slot by mc convention. A Bank is not safe for
 // concurrent use; each worker owns one.
 type Bank struct {

@@ -459,3 +459,86 @@ func httpGetJSON(t *testing.T, url string) map[string]any {
 	}
 	return out
 }
+
+// TestClusterStealBounceBack: B steals job K from A, then A, now idle,
+// steals K back from B. A is following K on B at that moment, so the
+// grant is K coming home: A must run it. Before, A committed the grant
+// on the strength of its own follower, B then followed A, A kept
+// following B, and each answered the other's KnowsJob probe with "in
+// flight", so K never ran anywhere.
+func TestClusterStealBounceBack(t *testing.T) {
+	gates := map[uint64]chan struct{}{900: make(chan struct{}), 901: make(chan struct{})}
+	gated := func(engine string, next RunFunc) RunFunc {
+		return func(ctx context.Context, spec JobSpec, workers int, progress func(mc.Snapshot)) (json.RawMessage, error) {
+			if gate, ok := gates[spec.Seed]; ok {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return next(ctx, spec, workers, progress)
+		}
+	}
+	cfg := Config{Workers: 1, StealInterval: -1, WrapEngine: gated}
+	a, b, addrA, addrB := clusterPair(t, cfg, cfg)
+	spec := func(seed uint64) JobSpec { return JobSpec{Protocol: "a", Graph: "pair", Trials: 40, Seed: seed} }
+	submit := func(s *Server, seed uint64) string {
+		t.Helper()
+		st, err := s.Submit(spec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	steal := func(thief *Server, victim string) []string {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		jobs, err := thief.cluster.StealFrom(ctx, victim, 1)
+		if err != nil || len(jobs) != 1 {
+			t.Fatalf("steal from %s: %v, %d jobs", victim, err, len(jobs))
+		}
+		_, committed := thief.adoptStolen(jobs)
+		if len(committed) > 0 {
+			if err := thief.cluster.CommitSteal(ctx, victim, committed); err != nil {
+				t.Fatalf("commit to %s: %v", victim, err)
+			}
+		}
+		return committed
+	}
+	waitRunning := func(s *Server, id string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if st, err := s.Get(id); err == nil && st.State == StateRunning {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never started", id)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	// Both workers are held by gated jobs. K and one more queue behind
+	// A's, so A has one job of surplus and donates K, the next in line.
+	waitRunning(a, submit(a, 900))
+	waitRunning(b, submit(b, 901))
+	k := submit(a, 1)
+	submit(a, 2)
+	steal(b, addrA)
+	// Another job queues behind K on B, so B has surplus and donates K,
+	// its next in line, back to A.
+	submit(b, 3)
+	steal(a, addrB)
+	close(gates[900])
+	close(gates[901])
+
+	if st := waitDone(t, a, k); st.State != StateDone {
+		t.Fatalf("K on A: %s (%s)", st.State, st.Error)
+	}
+	if runs := a.Metrics().EngineRuns.Load() + b.Metrics().EngineRuns.Load(); runs != 5 {
+		t.Fatalf("engine runs A+B = %d, want 5 (one per key)", runs)
+	}
+}

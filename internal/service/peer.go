@@ -286,6 +286,7 @@ func (s *Server) stealVictim(want int, thief string) []cluster.StolenJob {
 		terminal := j.state.Terminal()
 		if !terminal {
 			j.stolenBy = thief
+			j.comeHome = make(chan struct{}, 1)
 		}
 		j.mu.Unlock()
 		if terminal {
@@ -350,14 +351,20 @@ func (s *Server) journalIntent(j *Job, thief string) {
 // budget. Reclaiming trades the L/U-style residual — a thief that
 // revives with the job in its WAL *after* the budget re-runs the key
 // once more elsewhere — for never stranding a job; results are content-
-// addressed, so the overlap costs compute, never correctness.
+// addressed, so the overlap costs compute, never correctness. A job
+// that comes home (see adoptStolen) is reclaimed at once.
 func (s *Server) awaitStolen(j *Job, thief string) {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.StealPollInterval)
 	defer tick.Stop()
+	j.mu.Lock()
+	comeHome := j.comeHome
+	j.mu.Unlock()
 	fails := 0
 	for {
 		select {
+		case <-comeHome:
+			fails = s.cfg.StealPollFailures
 		case <-j.done:
 			// Settled through the API (cancel) — Cancel did the
 			// accounting and the journal tombstone; nothing left to
@@ -373,31 +380,35 @@ func (s *Server) awaitStolen(j *Job, thief string) {
 			return
 		case <-tick.C:
 		}
-		body, found, err := s.cluster.FetchFrom(j.ctx, thief, j.key)
-		if found {
-			s.settlePeerResult(j, body)
-			// The intent record may still be pending (the thief's commit
-			// crashed or lost a race); the body is durable locally now, so
-			// the journal is done with this job either way.
-			s.journalSettle(j)
-			j.cancel()
-			s.dropInflight(j)
-			return
-		}
-		if err == nil {
-			// Clean miss: no result yet. Ask whether the thief still has
-			// any record of the job before counting the miss against the
-			// reclaim budget — a restarted-but-recovering thief (journaled,
-			// crashed before running) answers yes and must be waited out,
-			// one that never durably took the job answers no.
-			if known, kerr := s.cluster.KnowsJob(j.ctx, thief, j.key); kerr == nil && known {
-				fails = 0
+		if fails < s.cfg.StealPollFailures {
+			body, found, err := s.cluster.FetchFrom(j.ctx, thief, j.key)
+			if found {
+				s.settlePeerResult(j, body)
+				// The intent record may still be pending (the thief's
+				// commit crashed or lost a race); the body is durable
+				// locally now, so the journal is done with this job
+				// either way.
+				s.journalSettle(j)
+				j.cancel()
+				s.dropInflight(j)
+				return
+			}
+			if err == nil {
+				// Clean miss: no result yet. Ask whether the thief still
+				// has any record of the job before counting the miss
+				// against the reclaim budget — a restarted-but-recovering
+				// thief (journaled, crashed before running) answers yes
+				// and must be waited out, one that never durably took the
+				// job answers no.
+				if known, kerr := s.cluster.KnowsJob(j.ctx, thief, j.key); kerr == nil && known {
+					fails = 0
+					continue
+				}
+			}
+			fails++
+			if fails < s.cfg.StealPollFailures {
 				continue
 			}
-		}
-		fails++
-		if fails < s.cfg.StealPollFailures {
-			continue
 		}
 		// Thief presumed to have lost the job: take it back. The intent
 		// record is re-stamped as a plain accept (reclaiming must survive
@@ -496,9 +507,21 @@ func (s *Server) adoptStolen(jobs []cluster.StolenJob) (adopted int, committed [
 			j.cancel()
 			continue
 		}
-		if s.inflight[key] != nil {
+		if cur := s.inflight[key]; cur != nil {
 			// Already queued or running here under a local accept record;
 			// this node owns the key's fate, so the victim can tombstone.
+			// If this node donated the key and is following it, the grant
+			// is the job coming home through a steal cycle: after the
+			// commit the victim follows this node, so this node must run
+			// it, or each node on the cycle waits on the next forever.
+			// Off a cycle this can run the key once more elsewhere, which
+			// like any reclaim costs compute, never correctness.
+			cur.mu.Lock()
+			select {
+			case cur.comeHome <- struct{}{}:
+			default: // not following, or already told
+			}
+			cur.mu.Unlock()
 			s.mu.Unlock()
 			j.cancel()
 			if key == sj.Key {

@@ -257,6 +257,10 @@ type Job struct {
 	// handoff; the job stays "queued" here while its follower goroutine
 	// (awaitStolen) watches the thief.
 	stolenBy string
+	// comeHome is set with stolenBy: a token on it tells the follower
+	// that the thief granted the job back to this node, which must then
+	// run it (see adoptStolen).
+	comeHome chan struct{}
 	body     json.RawMessage
 	errMsg   string
 	token    *workerToken // the worker currently running this job
@@ -419,6 +423,12 @@ type Server struct {
 	// new read-repairs are skipped, not queued — the anti-entropy loop
 	// remains the backstop.
 	rrSem chan struct{}
+
+	// cellAdmitted, when non-nil, runs in the sweep dispatcher between a
+	// cell's admission and the recording of its job id: the window a
+	// concurrent CancelSweep can fall into. Tests park the dispatcher
+	// there; it is nil otherwise.
+	cellAdmitted func()
 }
 
 // workerToken is one worker goroutine's claim on a pool slot. The

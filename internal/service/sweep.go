@@ -326,9 +326,20 @@ func (s *Server) dispatchSweep(sw *Sweep) {
 			// singleton submissions.
 			st, err := s.submit(c.spec, queue.ClassSweep, sw.id)
 			if err == nil {
+				if s.cellAdmitted != nil {
+					s.cellAdmitted()
+				}
 				c.mu.Lock()
 				c.jobID = st.ID
 				c.mu.Unlock()
+				// A CancelSweep since the check above found no job id on
+				// this cell and skipped it, so cancel the job here.
+				// CancelSweep sets the flag before it reads ids and the id
+				// is recorded before this re-check, so at least one side
+				// sees the other; a double cancel is harmless.
+				if sw.cancelled.Load() {
+					_, _ = s.Cancel(st.ID)
+				}
 				if j, jerr := s.job(st.ID); jerr == nil {
 					jobs = append(jobs, j)
 				}

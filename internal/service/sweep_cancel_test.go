@@ -1,14 +1,17 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"coordattack/internal/mc"
 	"coordattack/internal/store"
 )
 
@@ -220,5 +223,51 @@ func TestHTTPAdminStoreDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("rescan without a store: code %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCancelSweepBetweenAdmitAndRecord parks the dispatcher after the
+// first cell's job is admitted but before its id is recorded on the
+// cell, and cancels the sweep inside that window. CancelSweep then sees
+// no job id on the cell, so the dispatcher itself must cancel the job.
+// The engine only returns once its job is cancelled, so a job nobody
+// cancels never settles and the sweep stays running.
+func TestCancelSweepBetweenAdmitAndRecord(t *testing.T) {
+	s := New(Config{Workers: 1, WrapEngine: func(string, RunFunc) RunFunc {
+		return func(ctx context.Context, _ JobSpec, _ int, _ func(mc.Snapshot)) (json.RawMessage, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	}})
+	defer drain(t, s)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.cellAdmitted = func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+
+	st, err := s.SubmitSweep(slowSweepSpec([]uint64{1, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	if _, err := s.CancelSweep(st.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	close(release)
+
+	fin := waitSweep(t, s, st.ID, 5*time.Second)
+	if fin.State != StateCancelled {
+		t.Fatalf("sweep ended %s, want cancelled", fin.State)
+	}
+	first := fin.Table[0]
+	if first.JobID == "" {
+		t.Fatal("the admitted cell has no job id")
+	}
+	if js, err := s.Get(first.JobID); err != nil || js.State != StateCancelled {
+		t.Fatalf("admitted cell's job = %+v, %v; want cancelled", js, err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"coordattack/internal/run"
 )
 
-// ErrNoFastPath is wrapped by NewEngine and NewConcurrentEngine when the
-// protocol or shape cannot use the zero-alloc path; callers classify with
-// errors.Is and fall back to the reference engines.
+// ErrNoFastPath is wrapped by NewEngine when the protocol or shape
+// cannot use the zero-alloc path; callers classify with errors.Is and
+// fall back to the reference engines.
 var ErrNoFastPath = errors.New("sim: no fast path")
 
 // Engine is the zero-alloc sequential trial engine. It owns every piece
@@ -69,9 +69,6 @@ func NewEngine(p protocol.Protocol, g *graph.G, n int) (*Engine, error) {
 		outs:  make([]bool, m+1),
 	}, nil
 }
-
-// Graph reports the engine's graph.
-func (e *Engine) Graph() *graph.G { return e.g }
 
 // N reports the engine's horizon.
 func (e *Engine) N() int { return e.n }

@@ -49,10 +49,9 @@ func fastTestProtocols(t *testing.T) map[string]protocol.Protocol {
 }
 
 // TestFastEnginesMatchReference is the sim-level differential suite: on
-// random runs, the zero-alloc sequential and concurrent engines must
-// reproduce the reference engine's outputs bit for bit, for every fast
-// protocol on every test graph, with the identical (stream, trial) tape
-// labels.
+// random runs, the zero-alloc engine must reproduce the reference
+// engine's outputs bit for bit, for every fast protocol on every test
+// graph, with the identical (stream, trial) tape labels.
 func TestFastEnginesMatchReference(t *testing.T) {
 	const n = 6
 	stream := rng.NewStream(2024)
@@ -62,10 +61,6 @@ func TestFastEnginesMatchReference(t *testing.T) {
 			eng, err := NewEngine(p, g, n)
 			if err != nil {
 				t.Fatalf("%s/%s: NewEngine: %v", gname, pname, err)
-			}
-			ceng, err := NewConcurrentEngine(p, g, n)
-			if err != nil {
-				t.Fatalf("%s/%s: NewConcurrentEngine: %v", gname, pname, err)
 			}
 			for trial := uint64(0); trial < 30; trial++ {
 				r, err := run.RandomSubset(g, n, runStream.Tape(trial, 0))
@@ -89,21 +84,7 @@ func TestFastEnginesMatchReference(t *testing.T) {
 							gname, pname, trial, i, got[i], want[i], r)
 					}
 				}
-				if err := ceng.LoadRun(r); err != nil {
-					t.Fatal(err)
-				}
-				cgot, err := ceng.Trial(stream, trial)
-				if err != nil {
-					t.Fatalf("%s/%s trial %d: concurrent fast: %v", gname, pname, trial, err)
-				}
-				for i := 1; i <= g.NumVertices(); i++ {
-					if cgot[i] != want[i] {
-						t.Fatalf("%s/%s trial %d: concurrent fast output[%d] = %v, reference %v",
-							gname, pname, trial, i, cgot[i], want[i])
-					}
-				}
 			}
-			ceng.Close()
 		}
 	}
 }
@@ -153,9 +134,6 @@ func TestNewEngineFallbackClassification(t *testing.T) {
 	a := baseline.NewA()
 	if _, err := NewEngine(a, g, 10); !errors.Is(err, ErrNoFastPath) {
 		t.Fatalf("NewEngine(A) = %v, want ErrNoFastPath", err)
-	}
-	if _, err := NewConcurrentEngine(a, g, 10); !errors.Is(err, ErrNoFastPath) {
-		t.Fatalf("NewConcurrentEngine(A) = %v, want ErrNoFastPath", err)
 	}
 	// Shapes Protocol S rejects surface the same way.
 	big, err := graph.Complete(65)
@@ -210,17 +188,5 @@ func TestEnginePool(t *testing.T) {
 	pool.Put(e2)
 	if _, err := NewEnginePool(baseline.NewA(), g, 4); !errors.Is(err, ErrNoFastPath) {
 		t.Fatalf("pool for a fast-less protocol = %v, want ErrNoFastPath", err)
-	}
-}
-
-func TestConcurrentEngineCloseIdempotent(t *testing.T) {
-	ce, err := NewConcurrentEngine(core.MustS(0.5), graph.Pair(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce.Close()
-	ce.Close()
-	if _, err := ce.TrialSeeded(); err == nil {
-		t.Fatal("trial on a closed engine must fail")
 	}
 }
